@@ -1,0 +1,1 @@
+"""End-to-end benchmark package; the entry point is ``perfbench/run.py``."""
