@@ -11,7 +11,7 @@ file (``BENCH_kernel.json``) whose schema is::
       "format": "repro-bench/1",
       "runs": [
         {
-          "rev": "<git short rev or 'unknown'>",
+          "rev": "<git short rev, '-dirty' if tracked files differ, or 'unknown'>",
           "mode": "quick" | "full" | "scale",
           "host": {"cpus": 8},        # os.cpu_count() where the run ran
           "benches": {
@@ -51,19 +51,25 @@ HISTORY_LIMIT = 40
 
 
 def _git_rev():
+    """The measured tree: short HEAD rev, suffixed ``-dirty`` when tracked
+    files differ from it (a run taken before its change is committed)."""
     import subprocess
 
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
+    def git(*args):
+        return subprocess.run(
+            ("git",) + args, capture_output=True, text=True, timeout=10
         )
+
+    try:
+        out = git("rev-parse", "--short", "HEAD")
+        rev = out.stdout.strip()
+        if out.returncode != 0 or not rev:
+            return "unknown"
+        if git("status", "--porcelain", "--untracked-files=no").stdout.strip():
+            rev += "-dirty"
     except (OSError, subprocess.SubprocessError):
         return "unknown"
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else "unknown"
+    return rev
 
 
 def _median(values):

@@ -5,7 +5,10 @@ One :class:`FlowEngine` advances every attached
 the work is O(pools + distinct VIPs), never O(users) — a million
 simulated clients cost exactly as much as their pool count — which is
 what lets the flow plane coexist with the exact per-packet prober at
-10^5–10^7 users without melting the event loop.
+10^5–10^7 users without melting the event loop. Resolution is
+change-driven on top of that: a tick re-resolves its VIPs only when a
+resolver reports its snapshot stale, so between fail-overs a tick is
+one advance over the pool arrays plus its totals (docs/TRAFFIC.md).
 
 The per-tick inner loop (demand accrual, carry propagation, goodput
 scaling) runs over parallel arrays and has two interchangeable
@@ -118,6 +121,24 @@ class FlowEngine(Process):
                     self._resolvers.append(resolver)
             pool_group.append(index)
         self._pool_group = pool_group
+        # Member pools of the groups several pools share (the loss trace
+        # reports group totals); a group absent here has one pool.
+        sizes = [0] * len(self._group_keys)
+        for group in pool_group:
+            sizes[group] += 1
+        self._shared_groups = {}
+        for index, group in enumerate(pool_group):
+            if sizes[group] > 1:
+                self._shared_groups.setdefault(group, []).append(index)
+        # A tick may reuse the previous tick's resolution when no
+        # resolver is stale — unless a resolver must answer afresh every
+        # tick (an ageing ARP cache) or a pool's service gate reads
+        # state no resolver tracks.
+        self._reusable = all(
+            not getattr(resolver, "resolve_every_tick", True)
+            for resolver in self._resolvers
+        ) and all(pool.require is None for pool in self.pools)
+        self._resolution = None
         if self.use_numpy:
             self._demand = _numpy.array(demand, dtype=_numpy.float64)
             self._carry = _numpy.array(carry, dtype=_numpy.float64)
@@ -152,18 +173,32 @@ class FlowEngine(Process):
             self._compile()
         self.ticks += 1
         self._m_ticks.inc()
-        factors, reasons = self._resolve_groups()
+        resolution = self._resolve()
         jitters = self._draw_jitter()
         if self.use_numpy:
-            offered, served = self._advance_numpy(factors, jitters)
+            offered, served = self._advance_numpy(resolution, jitters)
         else:
-            offered, served = self._advance_python(factors, jitters)
-        self._account(offered, served, reasons)
+            offered, served = self._advance_python(resolution, jitters)
+        self._account(offered, served, resolution)
+
+    def _resolve(self):
+        """This tick's :class:`_Resolution`, reused while nothing moved.
+
+        Only stale resolvers rebuild their snapshots; a resolver without
+        a ``stale`` method rebuilds every tick.
+        """
+        moved = False
+        for resolver in self._resolvers:
+            stale = getattr(resolver, "stale", None)
+            if stale is None or stale():
+                resolver.begin_tick()
+                moved = True
+        if moved or not self._reusable or self._resolution is None:
+            self._resolution = self._resolve_groups()
+        return self._resolution
 
     def _resolve_groups(self):
         """Per-pool (factor, reason) via one resolve per distinct VIP."""
-        for resolver in self._resolvers:
-            resolver.begin_tick()
         group_results = []
         for resolver, vip in self._group_keys:
             factor, reason, owner = resolver.resolve(vip)
@@ -177,7 +212,7 @@ class FlowEngine(Process):
                     factor, reason = 0.0, "no_route"
             factors.append(factor)
             reasons.append(reason)
-        return factors, reasons
+        return _Resolution(factors, reasons, self.use_numpy)
 
     def _draw_jitter(self):
         """Per-pool demand multipliers; no draws when jitter is off."""
@@ -189,27 +224,31 @@ class FlowEngine(Process):
         rng = self._jitter_rng
         return [1.0 + spread * (2.0 * rng.random() - 1.0) for _ in self.pools]
 
-    def _advance_numpy(self, factors, jitters):
+    def _advance_numpy(self, resolution, jitters):
         raw = self._demand * self.tick
         if jitters is not None:
             raw = raw * _numpy.array(jitters, dtype=_numpy.float64)
         raw = raw + self._carry
         offered_f = _numpy.floor(raw)
         self._carry = raw - offered_f
-        served_f = _numpy.floor(offered_f * _numpy.array(factors, dtype=_numpy.float64))
         offered = offered_f.astype(_numpy.int64)
-        served = served_f.astype(_numpy.int64)
+        if resolution.lossy:
+            served = _numpy.floor(offered_f * resolution.factor_array).astype(_numpy.int64)
+        else:
+            # floor(n * 1.0) == n for every integral float64 n.
+            served = offered
         self._c_offered += offered
         self._c_served += served
         return offered, served
 
-    def _advance_python(self, factors, jitters):
+    def _advance_python(self, resolution, jitters):
         # The scalar mirror of _advance_numpy: identical float64 ops in
         # identical element order, so both backends produce bit-equal
         # carries and counts from the same seed.
         tick = self.tick
         carry = self._carry
         demand = self._demand
+        factors = resolution.factors
         c_offered = self._c_offered
         c_served = self._c_served
         offered = [0] * len(self.pools)
@@ -228,25 +267,17 @@ class FlowEngine(Process):
             c_served[index] += served_i
         return offered, served
 
-    def _account(self, offered, served, reasons):
-        """Totals, per-reason metrics, and per-VIP loss trace records."""
-        offered_total = 0
-        served_total = 0
+    def _account(self, offered, served, resolution):
+        """Totals, per-reason metrics, and per-VIP loss trace records.
+
+        Only pools whose factor is below 1.0 can lose requests, so only
+        they are visited, in pool order; the totals are plain sums.
+        """
+        reasons = resolution.reasons
+        pool_group = self._pool_group
         lost_groups = {}
-        group_totals = {}
-        for index, group in enumerate(self._pool_group):
-            offered_i = int(offered[index])
-            if not offered_i:
-                continue
-            served_i = int(served[index])
-            offered_total += offered_i
-            served_total += served_i
-            entry = group_totals.get(group)
-            if entry is None:
-                group_totals[group] = entry = [0, 0]
-            entry[0] += offered_i
-            entry[1] += served_i
-            lost_i = offered_i - served_i
+        for index in resolution.lossy:
+            lost_i = int(offered[index]) - int(served[index])
             if lost_i:
                 reason = reasons[index]
                 if reason is None:
@@ -265,7 +296,13 @@ class FlowEngine(Process):
                     )
                     self._m_lost[reason] = counter
                 counter.inc(lost_i)
-                lost_groups.setdefault(group, reason)
+                lost_groups.setdefault(pool_group[index], (reason, index))
+        if self.use_numpy:
+            offered_total = int(offered.sum())
+            served_total = int(served.sum()) if resolution.lossy else offered_total
+        else:
+            offered_total = sum(offered)
+            served_total = sum(served)
         self.requests_offered += offered_total
         self.requests_served += served_total
         self.requests_lost += offered_total - served_total
@@ -274,7 +311,10 @@ class FlowEngine(Process):
         if served_total:
             self._m_served.inc(served_total)
         for group in sorted(lost_groups):
-            group_offered, group_served = group_totals[group]
+            reason, index = lost_groups[group]
+            members = self._shared_groups.get(group, (index,))
+            group_offered = sum(int(offered[member]) for member in members)
+            group_served = sum(int(served[member]) for member in members)
             _resolver, vip = self._group_keys[group]
             self.trace(
                 "flow",
@@ -283,7 +323,7 @@ class FlowEngine(Process):
                 offered=group_offered,
                 served=group_served,
                 lost=group_offered - group_served,
-                reason=lost_groups[group],
+                reason=reason,
             )
 
     # ------------------------------------------------------------------
@@ -346,4 +386,23 @@ class FlowEngine(Process):
     def __repr__(self):
         return "FlowEngine({}, {} pools, {} users, tick={})".format(
             self.name, len(self.pools), self.total_users(), self.tick
+        )
+
+
+class _Resolution:
+    """One tick's per-pool resolution, kept while no resolver is stale.
+
+    ``lossy`` lists (ascending) the pools whose factor is not 1.0 —
+    the only ones that can lose requests; ``factor_array`` is the numpy
+    copy of ``factors`` (None on the pure-python backend).
+    """
+
+    __slots__ = ("factors", "reasons", "lossy", "factor_array")
+
+    def __init__(self, factors, reasons, use_numpy):
+        self.factors = factors
+        self.reasons = reasons
+        self.lossy = [index for index, factor in enumerate(factors) if factor != 1.0]
+        self.factor_array = (
+            _numpy.array(factors, dtype=_numpy.float64) if use_numpy else None
         )

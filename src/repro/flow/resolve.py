@@ -27,6 +27,14 @@ request/reply ARP exchange a real first packet performs — and draw no
 RNG: degraded modes scale by the *expected* loss of the installed link
 model, so attaching a flow engine never perturbs the draw sequence of
 the simulation it observes.
+
+Both resolvers snapshot the cluster's bindings and refresh the
+snapshot only when it is :meth:`stale`: when the LAN's
+``binding_epoch`` (bumped by every bind, unbind, NIC up/down/reset,
+host crash/recover/slowdown and attach/detach) or, for the direct
+resolver, the LAN's loss settings have moved since the last rebuild.
+Bindings change at fail-over, not on every tick, so a quiet tick costs
+one key comparison instead of a scan of the whole population.
 """
 
 from repro.net.addresses import IPAddress
@@ -38,8 +46,14 @@ class ArpViewResolver:
     ``client_host`` supplies the viewpoint: its ARP cache (aged by its
     local clock, repointed by broadcast announcements) and its NIC's
     partition group. ``hosts`` is the server population scanned for
-    live VIP bindings; the scan happens once per tick, not per pool.
+    live VIP bindings; the scan happens only when the LAN's binding
+    epoch has moved. :meth:`resolve` still runs every tick — the
+    client's ARP cache ages and is repointed by announcements, none of
+    which bumps the epoch — so the engine never reuses its answers.
     """
+
+    #: The engine must call :meth:`resolve` on every tick.
+    resolve_every_tick = True
 
     def __init__(self, lan, client_host, hosts):
         self.lan = lan
@@ -52,9 +66,17 @@ class ArpViewResolver:
             )
         self._owners = {}
         self._macs = {}
+        self._epoch = None
+
+    def stale(self):
+        """True when the bindings snapshot no longer matches the LAN."""
+        return self._epoch != self.lan.binding_epoch
 
     def begin_tick(self):
-        """Snapshot live bindings and the MAC index for this tick."""
+        """Snapshot live bindings and the MAC index if they may have moved."""
+        if not self.stale():
+            return
+        self._epoch = self.lan.binding_epoch
         owners = {}
         for host in self.hosts:
             if not host.alive:
@@ -111,15 +133,41 @@ class DirectResolver:
 
     ``bindings`` is a zero-argument callable yielding ``(vip, host)``
     pairs over the live population (e.g. the scale cluster's manager
-    bound-sets). Called once per tick; resolution is a dict lookup.
+    bound-sets); resolution is a dict lookup. With a ``lan``, the
+    bindings must follow that LAN's NIC bindings and owner liveness, so
+    that its ``binding_epoch`` moves whenever they do: the map is then
+    rebuilt only when the epoch or the LAN's loss settings change, and
+    between rebuilds every answer is the same. Without a ``lan`` there
+    is nothing to key on and the map is rebuilt on every tick.
     """
+
+    #: Answers change only with :meth:`stale`; the engine may reuse them.
+    resolve_every_tick = False
 
     def __init__(self, bindings, lan=None):
         self.bindings = bindings
         self.lan = lan
         self._owners = {}
+        self._key = None
+
+    def _current_key(self):
+        lan = self.lan
+        if lan is None:
+            return None
+        model = lan.link_model
+        expected = model.expected_loss() if model is not None else None
+        return (lan.binding_epoch, lan.loss, model, expected)
+
+    def stale(self):
+        """True when resolutions may differ from the last rebuild's."""
+        key = self._current_key()
+        return key is None or key != self._key
 
     def begin_tick(self):
+        """Rebuild the VIP -> owner map if it is :meth:`stale`."""
+        if not self.stale():
+            return
+        self._key = self._current_key()
         owners = {}
         for vip, host in self.bindings():
             owners.setdefault(IPAddress(vip), host)

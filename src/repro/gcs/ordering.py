@@ -44,6 +44,12 @@ class ViewOrderer:
         self.recv_aru = 0
         self._member_arus = {member: 0 for member in view.members}
         self._announced_aru = 0
+        # First sequence stored at or below the delivery point, if any.
+        # Delivery reads only from the log, so every delivered sequence
+        # is already logged: a newly logged one at or below
+        # ``delivered_aru`` proves the point was pushed past a message
+        # this daemon never applied (see stabilize_audit).
+        self.unapplied_seq = None
         self._resubmit_timer = Timer(
             daemon.sim.scheduler, self._resubmit_pending, name="resubmit"
         )
@@ -122,7 +128,7 @@ class ViewOrderer:
         ordered = OrderedMsg(
             self.view_id, seq, origin, msg_id, kind, group, payload, service
         )
-        self.log[seq] = ordered
+        self._store(ordered)
         self._advance_recv_aru()
         self._daemon.broadcast(ordered)
         self._deliver_ready()
@@ -145,13 +151,18 @@ class ViewOrderer:
             return
         if message.seq in self.log:
             return
-        self.log[message.seq] = message
+        self._store(message)
         if message.origin == self._daemon.daemon_id:
             self._pending.pop(message.msg_id, None)
         self._advance_recv_aru()
         self._deliver_ready()
         if self._has_gap() and not self._nack_timer.armed:
             self._nack_timer.start(self._daemon.config.gap_nack_delay)
+
+    def _store(self, message):
+        if message.seq <= self.delivered_aru and self.unapplied_seq is None:
+            self.unapplied_seq = message.seq
+        self.log[message.seq] = message
 
     def top_seq(self):
         """Highest sequence number known in this view."""
@@ -241,7 +252,9 @@ class ViewOrderer:
         repaired locally — rolling it back would redeliver — so it is
         returned as an escalation reason for the daemon to resolve via a
         membership GATHER (the install's recovery digests rebuild the
-        delivery state).
+        delivery state). The same holds once a message has been logged
+        at or below the delivery point (:attr:`unapplied_seq`): the log
+        then looks contiguous again, but that message was skipped.
 
         Returns ``(repairs, escalate_reason)`` where ``repairs`` is a
         list of ``(invariant, was, now)`` triples already applied.
@@ -270,6 +283,10 @@ class ViewOrderer:
         if self.delivered_aru > contiguous:
             escalate = "delivered_aru {} ahead of contiguous log {}".format(
                 self.delivered_aru, contiguous
+            )
+        elif self.unapplied_seq is not None:
+            escalate = "seq {} logged at or below delivered_aru {}, never applied".format(
+                self.unapplied_seq, self.delivered_aru
             )
         elif repairs:
             # Repaired counters may have been masking an unserviced gap.

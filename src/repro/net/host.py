@@ -121,6 +121,7 @@ class Host(Process):
         if delivery_lag is None:
             delivery_lag = 0.001 * (factor - 1.0)
         self._slow_delivery_lag = float(delivery_lag)
+        self._bump_binding_epochs()
         self.trace("host", "slowdown", factor=factor)
 
     def set_load(self, mean_delay):
@@ -166,6 +167,7 @@ class Host(Process):
             socket.closed = True
         self._sockets = []
         self.stop()
+        self._bump_binding_epochs()
 
     def recover(self):
         """Reboot: fresh ARP cache, interfaces reset to primaries only.
@@ -179,7 +181,14 @@ class Host(Process):
         self.arp.cache = type(self.arp.cache)(lambda: self.local_time)
         for nic in self._nics:
             nic.reset()
+        self._bump_binding_epochs()
         self.trace("host", "recover")
+
+    def _bump_binding_epochs(self):
+        # Liveness and slowdown change how traffic to this host's
+        # addresses resolves, on every segment it sits on.
+        for nic in self._nics:
+            nic.lan.binding_epoch += 1
 
     # ------------------------------------------------------------------
     # frame input

@@ -41,6 +41,11 @@ class Lan:
         self._groups = {}
         self._bcast_cache = {}  # src nic -> tuple of same-group recipients
         self._mac_index = None  # mac -> tuple of owning nics, attach order
+        # Bumped by every mutation that can change what traffic aimed at
+        # an address on this segment resolves to: attach/detach, NIC
+        # bind/unbind/up/down/reset, and host crash/recover/slowdown.
+        # Flow resolvers key their snapshots on it (docs/TRAFFIC.md).
+        self.binding_epoch = 0
         self._rng = sim.rng.stream("lan/{}".format(name))
         self.frames_sent = 0
         self.frames_delivered = 0
@@ -74,6 +79,7 @@ class Lan:
         self._nics.append(nic)
         self._groups[nic] = 0
         self._invalidate()
+        self.binding_epoch += 1
 
     def detach(self, nic):
         """Remove an interface from the segment."""
@@ -81,6 +87,7 @@ class Lan:
             self._nics.remove(nic)
             del self._groups[nic]
             self._invalidate()
+            self.binding_epoch += 1
 
     @property
     def nics(self):

@@ -66,14 +66,18 @@ class Nic:
             raise ValueError(
                 "cannot bind {}: outside subnet {}".format(address, self.lan.subnet)
             )
-        self._bound.add(address)
+        if address not in self._bound:
+            self._bound.add(address)
+            self.lan.binding_epoch += 1
 
     def unbind_ip(self, address):
         """Release ``address``; the primary address cannot be released."""
         address = IPAddress(address)
         if address == self.primary_ip:
             raise ValueError("cannot unbind the primary address {}".format(address))
-        self._bound.discard(address)
+        if address in self._bound:
+            self._bound.discard(address)
+            self.lan.binding_epoch += 1
 
     def owns_ip(self, address):
         """True when ``address`` is currently bound here."""
@@ -84,11 +88,13 @@ class Nic:
     def set_up(self, up):
         """Administratively raise or lower the interface."""
         self.up = bool(up)
+        self.lan.binding_epoch += 1
 
     def reset(self):
         """Reboot semantics: drop every virtual address, come back up."""
         self._bound = {self.primary_ip} if self.primary_ip is not None else set()
         self.up = True
+        self.lan.binding_epoch += 1
 
     def transmit(self, frame):
         """Send a frame onto the LAN; silently dropped if the NIC is down."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.campaign import build_trial_spec, campaign_params
 from repro.check.schedule import FaultEvent, FaultSchedule, generate_schedule
 from repro.check.trial import make_spec, result_signature, run_trial
 from repro.sim.rng import RngRegistry
@@ -132,3 +133,17 @@ def test_non_gray_spec_unchanged_by_gray_support():
     spec = small_spec(seed=42, events=[])
     assert spec["gray"] is False
     assert run_trial(spec)["verdict"] == "pass"
+
+
+def test_message_masking_delivered_ahead_corruption_is_repaired():
+    """Regression: base seed 3, trial 165 of an n4 corruption campaign.
+    ``delivered_ahead`` on spread@s3 was followed by the next ordered
+    message before the audit ran; the message filled the gap, was never
+    applied, and s0 and s3 kept covering the same VIPs to the end."""
+    params = campaign_params(
+        base_seed=3, n_servers=4, n_vips=8, horizon=40.0, events_per_trial=8, corrupt=True
+    )
+    result = run_trial(build_trial_spec(params, 165))
+    assert result["verdict"] == "pass"
+    spans = [s for s in result["stabilization"] if s["mutation"] == "delivered_ahead"]
+    assert spans and all(s["end"] is not None for s in spans)

@@ -174,3 +174,27 @@ def test_absorb_recovered_advances_once_per_seq():
     assert orderer.delivered_aru == 1
     assert orderer.absorb_recovered(3) is True
     assert orderer.delivered_aru == 3
+
+
+def test_message_logged_below_corrupted_delivery_point_escalates():
+    """A delivery point pushed ahead of the log is only visible until the
+    next message fills the gap; the audit must still escalate, because
+    that message was logged but never applied."""
+    sim, harness, orderer = make_orderer("bbb")
+    orderer.on_ordered(ordered(orderer.view_id, 1))
+    assert orderer.stabilize_audit() == ([], None)
+    orderer.delivered_aru += 1  # corrupt_sequence delivered_ahead
+    orderer.on_ordered(ordered(orderer.view_id, 2))
+    assert [m.seq for m in harness.applied] == [1]
+    repairs, escalate = orderer.stabilize_audit()
+    assert repairs == []
+    assert escalate is not None and "seq 2" in escalate
+
+
+def test_sequencer_assigning_below_corrupted_delivery_point_escalates():
+    sim, harness, orderer = make_orderer("aaa")
+    orderer.submit(OrderedMsg.DATA, "g", "first")
+    orderer.delivered_aru += 1
+    orderer.submit(OrderedMsg.DATA, "g", "second")
+    _repairs, escalate = orderer.stabilize_audit()
+    assert escalate is not None and "seq 2" in escalate
